@@ -141,7 +141,7 @@ int main() {
 
   {
     // Steady-state allocator traffic: batch 1 warms every worker's leased
-    // SessionWorkspace (and the sharded plan cache); batch 2 on the SAME
+    // SessionWorkspace (and the shared plan cache); batch 2 on the SAME
     // engine is what a long-running service pays per session.
     runtime::BatchEngine engine({}, 1);
     (void)engine.localize_all(sessions);  // warm-up batch

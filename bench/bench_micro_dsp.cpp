@@ -132,9 +132,10 @@ BENCHMARK(BM_RenderSecond);
 // "monolithic-fft" reproduces the pre-overlap-save implementation (one FFT
 // at the next power of two covering the WHOLE signal, via the reference
 // fft_convolve path); "ols" is the shipping implementation (block
-// overlap-save through a cached kernel spectrum + reusable workspace). Both
-// compute the same function; the rows record the speedup and the per-op
-// allocator traffic.
+// overlap-save through a cached kernel spectrum + reusable workspace, into
+// persistent output buffers: the `_into` spellings ASP runs). Both compute
+// the same function; the rows record the speedup and the per-op allocator
+// traffic.
 
 double time_ns_per_op(int reps, const std::function<void()>& op) {
   using BenchClock = std::chrono::steady_clock;
@@ -202,23 +203,25 @@ void write_dsp_json() {
     Rng rng(99);
     const std::vector<double> x = rng.gaussian_vector(n);
     dsp::Workspace ws;
+    std::vector<double> filtered;
 
     rows.push_back(measure("filter_same", "monolithic-fft", n, reps, [&] {
       auto y = monolithic_filter_same(x, taps);
       benchmark::DoNotOptimize(y.data());
     }));
     rows.push_back(measure("filter_same", "ols", n, reps, [&] {
-      auto y = dsp::filter_same(x, filter_conv, &ws);
-      benchmark::DoNotOptimize(y.data());
+      dsp::filter_same_into(x, filter_conv, filtered, ws);
+      benchmark::DoNotOptimize(filtered.data());
     }));
     rows.push_back(measure("correlate_normalized", "monolithic-fft", n, reps, [&] {
       auto y = monolithic_correlate_normalized(x, taps, taps_norm);
       benchmark::DoNotOptimize(y.data());
     }));
+    std::vector<double> corr;
     std::vector<double> prefix_scratch;
     std::vector<double> norm_out;
     rows.push_back(measure("correlate_normalized", "ols", n, reps, [&] {
-      auto corr = dsp::correlate_valid(x, reversed_conv, &ws);
+      dsp::correlate_valid_into(x, reversed_conv, corr, ws);
       dsp::normalize_correlation_into(corr, x, taps.size(), taps_norm,
                                       prefix_scratch, norm_out);
       benchmark::DoNotOptimize(norm_out.data());

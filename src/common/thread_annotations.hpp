@@ -116,7 +116,7 @@ namespace hyperear {
 //   streaming runtime::StreamingEngine::sessions_mutex_ (session map)
 //   session   runtime::StreamingEngine::Entry::mutex    (per-session inbox)
 //   engine    runtime::WorkspacePool::mutex_,
-//             runtime::ContextCache::Shard::mutex (per-worker state, plans)
+//             runtime::ContextCache::mutex_ (per-worker state, plans)
 //   pool      runtime::ThreadPool::mutex_        (task queue)
 //   registry  obs::MetricsRegistry::mutex_,
 //             obs::Tracer::mutex_                (telemetry collection)

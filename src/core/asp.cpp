@@ -3,10 +3,8 @@
 #include <cmath>
 #include <optional>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
-#include "core/parallel.hpp"
 #include "core/pipeline_context.hpp"
 #include "core/session_workspace.hpp"
 #include "dsp/fir.hpp"
@@ -28,14 +26,14 @@ void convert_chirp_events(const std::vector<dsp::Detection>& detections,
 namespace {
 
 /// `estimate_period` with caller-owned scratch: the arrival-time and index
-/// series live in the session arena, so the steady-state batch path fits
-/// the SFO line without touching the heap. The public spelling wraps this
-/// with a call-local arena; the fit itself is identical.
-double estimate_period_with_arena(const std::vector<ChirpEvent>& events,
-                                  double nominal_period, double window_end,
-                                  std::size_t min_events, MonotonicArena& arena) {
+/// series reuse the workspace's capacity, so the steady-state batch path
+/// fits the SFO line without touching the heap. The public spelling wraps
+/// this with call-local vectors; the fit itself is identical.
+double estimate_period_into(const std::vector<ChirpEvent>& events, double nominal_period,
+                            double window_end, std::size_t min_events,
+                            std::vector<double>& times, std::vector<double>& idx) {
   require(nominal_period > 0.0, "estimate_period: bad nominal period");
-  ArenaVector<double> times{ArenaAllocator<double>{arena}};
+  times.clear();
   for (const ChirpEvent& e : events) {
     if (e.time_s <= window_end) times.push_back(e.time_s);
   }
@@ -44,11 +42,10 @@ double estimate_period_with_arena(const std::vector<ChirpEvent>& events,
   }
   // Recover integer chirp indices by rounding gaps to the nominal period;
   // missed detections produce index gaps, which the fit tolerates.
-  ArenaVector<double> idx{ArenaAllocator<double>{arena}};
-  idx.resize(times.size());
-  idx[0] = 0.0;
+  idx.clear();
+  idx.push_back(0.0);
   for (std::size_t i = 1; i < times.size(); ++i) {
-    idx[i] = idx[i - 1] + std::round((times[i] - times[i - 1]) / nominal_period);
+    idx.push_back(idx[i - 1] + std::round((times[i] - times[i - 1]) / nominal_period));
   }
   const LineFit fit = fit_line_robust(idx, times);
   require(fit.slope > 0.5 * nominal_period && fit.slope < 1.5 * nominal_period,
@@ -67,7 +64,6 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
                                 const AspOptions& options,
                                 const PipelineContext* context,
                                 SessionWorkspace* workspace,
-                                const PairExecutor* executor,
                                 const obs::ObsContext* obs) {
   require(!recording.mic1.empty() && recording.mic1.size() == recording.mic2.size(),
           "preprocess_audio: bad recording");
@@ -88,16 +84,12 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
     local_workspace.emplace();
     workspace = &*local_workspace;
   }
-  workspace->reset();
 
   AspResult result;
   result.estimated_period = nominal_period;
 
   // Each channel is an independent filter+detect pass over shared immutable
-  // plans with a channel-private workspace slot, so the two closures can
-  // run on different threads. Results cannot depend on the schedule: the
-  // closures touch disjoint slots and outputs and never read each other's
-  // state.
+  // plans with a channel-private workspace slot.
   const auto process_channel = [&](const std::vector<double>& mic, std::size_t slot,
                                    std::vector<ChirpEvent>& events) {
     ChannelWorkspace& ch = workspace->channel(slot);
@@ -110,20 +102,17 @@ AspResult preprocess_audio_impl(const sim::StereoRecording& recording,
     }
     convert_chirp_events(ch.detections, events);
   };
-  const SerialPairExecutor serial;
-  const PairExecutor& exec = executor != nullptr ? *executor : serial;
-  exec.run_pair([&] { process_channel(recording.mic1, 0, result.mic1); },
-                [&] { process_channel(recording.mic2, 1, result.mic2); });
+  process_channel(recording.mic1, 0, result.mic1);
+  process_channel(recording.mic2, 1, result.mic2);
 
-  finish_asp(result, nominal_period, calibration_duration, options,
-             workspace->arena(), obs);
+  finish_asp(result, nominal_period, calibration_duration, options, *workspace, obs);
   return result;
 }
 
 }  // namespace
 
 void finish_asp(AspResult& result, double nominal_period, double calibration_duration,
-                const AspOptions& options, MonotonicArena& arena,
+                const AspOptions& options, SessionWorkspace& workspace,
                 const obs::ObsContext* obs) {
   result.estimated_period = nominal_period;
   result.sfo_ppm = 0.0;
@@ -135,9 +124,9 @@ void finish_asp(AspResult& result, double nominal_period, double calibration_dur
     int count = 0;
     for (const auto* events : {&result.mic1, &result.mic2}) {
       try {
-        sum += estimate_period_with_arena(*events, nominal_period,
-                                          calibration_duration,
-                                          options.min_calibration_events, arena);
+        sum += estimate_period_into(*events, nominal_period, calibration_duration,
+                                    options.min_calibration_events, workspace.sfo_times,
+                                    workspace.sfo_index);
         ++count;
       } catch (const DetectionError&) {
         // fall through; the other mic may still provide an estimate
@@ -164,9 +153,11 @@ void finish_asp(AspResult& result, double nominal_period, double calibration_dur
 
 double estimate_period(const std::vector<ChirpEvent>& events, double nominal_period,
                        double window_end, std::size_t min_events) {
-  MonotonicArena arena;
-  return estimate_period_with_arena(events, nominal_period, window_end, min_events,
-                                    arena);
+  // NOLINTBEGIN(hyperear-hotpath) -- convenience wrapper: call-local scratch; the session path uses the workspace's
+  std::vector<double> times;
+  std::vector<double> idx;
+  // NOLINTEND(hyperear-hotpath) -- end of convenience wrapper
+  return estimate_period_into(events, nominal_period, window_end, min_events, times, idx);
 }
 
 AspResult preprocess_audio(const sim::StereoRecording& recording,
@@ -175,17 +166,15 @@ AspResult preprocess_audio(const sim::StereoRecording& recording,
                            const obs::ObsContext* obs) {
   return preprocess_audio_impl(recording, context.chirp_params(), nominal_period,
                                calibration_duration, context.asp_options(), &context,
-                               &workspace, nullptr, obs);
+                               &workspace, obs);
 }
 
 AspResult preprocess_audio(const sim::StereoRecording& recording,
                            const dsp::ChirpParams& chirp_params, double nominal_period,
                            double calibration_duration, const AspOptions& options,
-                           const PipelineContext* context, const PairExecutor* executor,
-                           const obs::ObsContext* obs) {
+                           const PipelineContext* context, const obs::ObsContext* obs) {
   return preprocess_audio_impl(recording, chirp_params, nominal_period,
-                               calibration_duration, options, context, nullptr,
-                               executor, obs);
+                               calibration_duration, options, context, nullptr, obs);
 }
 
 }  // namespace hyperear::core

@@ -19,10 +19,6 @@
 ///     head of the session provides arrivals whose spacing is exactly the
 ///     beacon period as seen by the phone clock.
 
-namespace hyperear {
-class MonotonicArena;
-}
-
 namespace hyperear::obs {
 struct ObsContext;
 }
@@ -67,7 +63,6 @@ struct AspResult {
 };
 
 class PipelineContext;
-class PairExecutor;
 class SessionWorkspace;
 
 /// Run ASP on a stereo recording — the canonical spelling. `nominal_period`
@@ -82,8 +77,8 @@ class SessionWorkspace;
 /// rate), so results never silently depend on a stale cache.
 ///
 /// `workspace` (core/session_workspace.hpp) is the mutable counterpart:
-/// per-channel filter/detector scratch and the per-session arena, reset on
-/// entry and reusable across sessions. A warmed workspace makes the stage
+/// per-channel filter/detector scratch and the SFO fit's scratch series,
+/// reusable across sessions. A warmed workspace makes the stage
 /// allocation-free in the steady state; results are bit-identical to a
 /// fresh one.
 ///
@@ -102,22 +97,12 @@ class SessionWorkspace;
 /// when `context` is null or was built for different options/chirp/rate,
 /// and a call-local workspace, so results never depend on whether a cache
 /// was supplied.
-///
-/// `executor` (core/parallel.hpp) lets the caller overlap the two
-/// per-microphone filter+detect passes — they read shared immutable plans
-/// and write disjoint workspace slots, so they are safe to run
-/// concurrently. Pass nullptr for the serial order; either way the results
-/// are identical because the channels never exchange data. (The batch
-/// engine no longer routes sessions through a shared executor — workers
-/// are session-parallel instead — but the spelling remains for callers
-/// that want intra-session overlap.)
 [[nodiscard]] AspResult preprocess_audio(const sim::StereoRecording& recording,
                                          const dsp::ChirpParams& chirp,
                                          double nominal_period,
                                          double calibration_duration,
                                          const AspOptions& options = {},
                                          const PipelineContext* context = nullptr,
-                                         const PairExecutor* executor = nullptr,
                                          const obs::ObsContext* obs = nullptr);
 
 /// Estimate the beacon period as seen by the phone clock from arrivals of a
@@ -139,12 +124,12 @@ void convert_chirp_events(const std::vector<dsp::Detection>& detections,
 /// lists already filled, run the SFO estimate over the calibration head
 /// (exactly as `preprocess_audio` does — per-mic fits averaged, falling
 /// back to the nominal period when neither mic has enough arrivals) and
-/// record the stage's SFO telemetry on `obs`. `arena` backs the fit's
+/// record the stage's SFO telemetry on `obs`. `workspace` holds the fit's
 /// scratch series. Public for the same reason as `convert_chirp_events`:
 /// `preprocess_audio` and the streaming path share it, so a batch and a
 /// streamed session produce bit-identical AspResults.
 void finish_asp(AspResult& result, double nominal_period, double calibration_duration,
-                const AspOptions& options, MonotonicArena& arena,
+                const AspOptions& options, SessionWorkspace& workspace,
                 const obs::ObsContext* obs = nullptr);
 
 }  // namespace hyperear::core

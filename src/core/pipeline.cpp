@@ -219,7 +219,7 @@ Expected<LocalizationResult, PipelineError> try_localize_impl(
       asp = preprocess_audio(session.audio, session.prior.chirp,
                              session.prior.nominal_period,
                              session.prior.calibration_duration, config.asp,
-                             context_ok ? context : nullptr, nullptr, obs);
+                             context_ok ? context : nullptr, obs);
     }
     local.asp_ms = obs::ms_since(t0);
     local.chirps_mic1 = asp.mic1.size();

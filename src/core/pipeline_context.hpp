@@ -39,8 +39,8 @@ struct PipelineConfig;
 /// rate) combination. Construction validates the inputs the same way the
 /// per-session path does (throws PreconditionError on violations).
 /// Deterministic 64-bit key of the (asp options, chirp, sample rate)
-/// combination a context is built from — the shard/lookup key of
-/// runtime::ContextCache. Pure function of the field values (FNV-1a over
+/// combination a context is built from — the shard key of
+/// runtime::Server. Pure function of the field values (FNV-1a over
 /// their bit patterns), identical across runs and processes; equal inputs
 /// hash equal, and `PipelineContext::matches` remains the authoritative
 /// equality check behind any hash match.

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "dsp/matched_filter.hpp"
 
@@ -16,7 +15,7 @@
 /// `PipelineContext` is deeply immutable and shared read-only by any number
 /// of concurrent runs; a `SessionWorkspace` is all the mutable state of one
 /// run — per-channel filter output, matched-filter scratch, detection
-/// staging, and an arena for per-session transients — and is therefore
+/// staging, and the SFO fit's scratch series — and is therefore
 /// strictly single-owner: one workspace per call stack, never shared across
 /// threads (runtime::WorkspacePool hands each engine worker an exclusive
 /// lease). Buffer contents carry no information between sessions; only
@@ -26,9 +25,7 @@
 
 namespace hyperear::core {
 
-/// Scratch for one microphone channel of the ASP stage. Two of these let
-/// the legacy PairExecutor spelling overlap the channels: the slots are
-/// disjoint, so the closures never share mutable state.
+/// Scratch for one microphone channel of the ASP stage.
 struct ChannelWorkspace {
   std::vector<double> filtered;            ///< band-passed recording
   dsp::DetectorWorkspace detector;         ///< matched-filter scratch (incl. FFT)
@@ -39,31 +36,27 @@ struct ChannelWorkspace {
 /// (`core::try_localize`, `core::preprocess_audio`). Default-constructed it
 /// owns nothing; the first session grows every buffer to the session's
 /// working-set size and subsequent sessions of similar length allocate
-/// nothing. Non-copyable by composition (the arena is pinned), which also
-/// rules out accidental by-value sharing.
+/// nothing. Non-copyable, which rules out accidental by-value sharing.
 class SessionWorkspace {
  public:
   static constexpr std::size_t kChannels = 2;
+
+  SessionWorkspace() = default;
+  SessionWorkspace(const SessionWorkspace&) = delete;
+  SessionWorkspace& operator=(const SessionWorkspace&) = delete;
 
   [[nodiscard]] ChannelWorkspace& channel(std::size_t index) {
     HE_EXPECTS(index < kChannels);
     return channels_[index];
   }
 
-  /// Bump allocator for per-session transients (e.g. the SFO fit's scratch
-  /// series): allocation is a pointer bump, and `reset` recycles the whole
-  /// region for the next session without returning memory to the heap.
-  [[nodiscard]] MonotonicArena& arena() { return arena_; }
-
-  /// Start-of-session rewind: recycles the arena. Called by the pipeline
-  /// itself — callers only reset explicitly to reclaim nothing-in-flight
-  /// state in tests. Channel buffers need no reset; every element is
-  /// overwritten before it is read.
-  void reset() { arena_.reset(); }
+  /// The SFO line fit's arrival-time and chirp-index series (core/asp.cpp);
+  /// cleared by every fit, so only their capacity carries over.
+  std::vector<double> sfo_times;
+  std::vector<double> sfo_index;
 
  private:
   std::array<ChannelWorkspace, kChannels> channels_;
-  MonotonicArena arena_;
 };
 
 }  // namespace hyperear::core

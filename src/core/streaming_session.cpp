@@ -40,7 +40,6 @@ StreamingSession::StreamingSession(sim::Session meta, PipelineConfig config,
     owned_workspace_ = std::make_unique<SessionWorkspace>();
     ws_ = owned_workspace_.get();
   }
-  ws_->reset();
   // Same context rule as the batch path: a supplied context is authoritative
   // only when it matches this config + session; otherwise build
   // session-local plans. Plan failure is remembered, not thrown — finalize
@@ -312,7 +311,7 @@ Expected<LocalizationResult, PipelineError> StreamingSession::finalize(
       convert_chirp_events(cw.detections, slot == 0 ? asp.mic1 : asp.mic2);
     }
     finish_asp(asp, meta_.prior.nominal_period, meta_.prior.calibration_duration,
-               config_.asp, ws_->arena(), obs);
+               config_.asp, *ws_, obs);
     local.asp_ms = asp_ms_ + obs::ms_since(t0);
     local.chirps_mic1 = asp.mic1.size();
     local.chirps_mic2 = asp.mic2.size();

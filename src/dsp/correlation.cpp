@@ -45,8 +45,8 @@ std::vector<double> correlate_valid(std::span<const double> x, std::span<const d
     return out;
   }
   // Overlap-save with the reversed template at the default block size — the
-  // same geometry a cached reversed-spectrum convolver uses, so both
-  // overloads agree bit for bit.
+  // same geometry a cached reversed-spectrum convolver uses, so the
+  // planless and `_into` spellings agree bit for bit.
   std::vector<double> out =
       OlsConvolver(std::vector<double>(h.rbegin(), h.rend())).correlate_valid(x);
   // Valid-mode lag bound: lag k ranges over [0, |x|-|h|]; the OLS window
@@ -54,18 +54,6 @@ std::vector<double> correlate_valid(std::span<const double> x, std::span<const d
   // peak->sample-index arithmetic is silently shifted.
   HE_ENSURES(out.size() == x.size() - h.size() + 1);
   return out;
-}
-
-std::vector<double> correlate_valid(std::span<const double> x,
-                                    const OlsConvolver& reversed_template,
-                                    Workspace* ws) {
-  require(!x.empty(), "correlate_valid: empty input");
-  require(reversed_template.kernel_size() <= x.size(),
-          "correlate_valid: template longer than signal");
-  if (x.size() * reversed_template.kernel_size() <= kDirectProductLimit) {
-    return correlate_valid_direct(x, reversed_template.kernel(), true);
-  }
-  return reversed_template.correlate_valid(x, ws);
 }
 
 void correlate_valid_into(std::span<const double> x,
@@ -137,15 +125,6 @@ std::vector<double> correlate_full(std::span<const double> x, std::span<const do
     return fft_convolve(x, hr);
   }
   return OlsConvolver(std::move(hr)).convolve_full(x);
-}
-
-std::vector<double> correlate_full(std::span<const double> x,
-                                   const OlsConvolver& reversed_template, Workspace* ws) {
-  require(!x.empty(), "correlate_full: empty input");
-  if (x.size() * reversed_template.kernel_size() <= kDirectProductLimit) {
-    return fft_convolve(x, reversed_template.kernel());
-  }
-  return reversed_template.convolve_full(x, ws);
 }
 
 }  // namespace hyperear::dsp

@@ -22,22 +22,15 @@ class Workspace;
 [[nodiscard]] std::vector<double> correlate_valid(std::span<const double> x,
                                                   std::span<const double> h);
 
-/// `correlate_valid` against a precomputed template spectrum: the convolver
-/// must have been built with the time-REVERSED template (correlation is
-/// convolution with the reversal) — exactly the reversed-spectrum cache
-/// core::PipelineContext keeps for the matched filter. Small products take
-/// the same direct path as the planless overload, so for any given input
-/// both spellings produce identical bits.
-[[nodiscard]] std::vector<double> correlate_valid(std::span<const double> x,
-                                                  const OlsConvolver& reversed_template,
-                                                  Workspace* ws = nullptr);
-
-/// `correlate_valid` against a precomputed reversed-template spectrum, into
-/// a caller-owned buffer (resized to the valid length, every element
+/// `correlate_valid` against a precomputed template spectrum, into a
+/// caller-owned buffer (resized to the valid length, every element
 /// overwritten) — the allocation-free spelling for loops whose output
 /// buffer persists across calls (the matched-filter detector's chunk loop).
-/// Takes the direct path below the same size threshold, so all spellings
-/// produce identical bits.
+/// The convolver must have been built with the time-REVERSED template
+/// (correlation is convolution with the reversal) — exactly the
+/// reversed-spectrum cache core::PipelineContext keeps for the matched
+/// filter. Small products take the same direct path as the planless
+/// spelling, so for any given input both spellings produce identical bits.
 void correlate_valid_into(std::span<const double> x,
                           const OlsConvolver& reversed_template,
                           std::vector<double>& out, Workspace& ws);
@@ -73,11 +66,5 @@ void normalize_correlation_into(std::span<const double> corr, std::span<const do
 /// stream through overlap-save like `correlate_valid`.
 [[nodiscard]] std::vector<double> correlate_full(std::span<const double> x,
                                                  std::span<const double> h);
-
-/// `correlate_full` against a precomputed reversed-template spectrum (see
-/// the `correlate_valid` overload for the reversal contract).
-[[nodiscard]] std::vector<double> correlate_full(std::span<const double> x,
-                                                 const OlsConvolver& reversed_template,
-                                                 Workspace* ws = nullptr);
 
 }  // namespace hyperear::dsp

@@ -159,15 +159,11 @@ std::vector<double> ifft_to_real(std::vector<Complex> spectrum) {
   return out;
 }
 
-namespace {
-
-std::vector<double> fft_convolve_with(std::span<const double> a,
-                                      std::span<const double> b,
-                                      std::vector<Complex>& fa,
-                                      std::vector<Complex>& fb) {
+std::vector<double> fft_convolve(std::span<const double> a, std::span<const double> b) {
   require(!a.empty() && !b.empty(), "fft_convolve: empty input");
   const std::size_t out_len = a.size() + b.size() - 1;
   const std::size_t n = next_pow2(out_len);
+  std::vector<Complex> fa, fb;
   fft_real_into(a, n, fa);
   fft_real_into(b, n, fb);
   for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
@@ -175,19 +171,6 @@ std::vector<double> fft_convolve_with(std::span<const double> a,
   ifft_to_real_into(fa, full);
   full.resize(out_len);
   return full;
-}
-
-}  // namespace
-
-std::vector<double> fft_convolve(std::span<const double> a, std::span<const double> b) {
-  std::vector<Complex> fa, fb;
-  return fft_convolve_with(a, b, fa, fb);
-}
-
-std::vector<double> fft_convolve(std::span<const double> a, std::span<const double> b,
-                                 Workspace& ws) {
-  const std::size_t n = next_pow2(a.size() + b.size() - 1);
-  return fft_convolve_with(a, b, ws.complex_scratch(0, n), ws.complex_scratch(1, n));
 }
 
 }  // namespace hyperear::dsp

@@ -116,10 +116,4 @@ void ifft_to_real_into(std::vector<Complex>& spectrum, std::vector<double>& out,
 [[nodiscard]] std::vector<double> fft_convolve(std::span<const double> a,
                                                std::span<const double> b);
 
-/// Workspace-backed monolithic convolution: same result as `fft_convolve`
-/// (bit-identical), with the two spectra held in workspace slots so batch
-/// callers skip the per-call allocations.
-[[nodiscard]] std::vector<double> fft_convolve(std::span<const double> a,
-                                               std::span<const double> b, Workspace& ws);
-
 }  // namespace hyperear::dsp

@@ -106,17 +106,8 @@ std::vector<double> filter_same(std::span<const double> signal, std::span<const 
   }
   // Overlap-save at the default block size for this kernel — the same
   // geometry a cached convolver for these taps would use, so the planless
-  // and plan-cached overloads agree bit for bit.
+  // and `_into` spellings agree bit for bit.
   return OlsConvolver(std::vector<double>(taps.begin(), taps.end())).filter_same(signal);
-}
-
-std::vector<double> filter_same(std::span<const double> signal, const OlsConvolver& kernel,
-                                Workspace* ws) {
-  check_filter_args(signal, kernel.kernel_size());
-  if (signal.size() * kernel.kernel_size() <= kDirectProductLimit) {
-    return filter_same_direct(signal, kernel.kernel());
-  }
-  return kernel.filter_same(signal, ws);
 }
 
 void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel,

@@ -44,20 +44,12 @@ class Workspace;
                                               std::span<const double> taps);
 
 /// `filter_same` through a prebuilt overlap-save convolver (whose kernel is
-/// the taps) and an optional reusable workspace — the zero-setup-cost
-/// spelling for batch callers (core::PipelineContext caches the convolver).
-/// Takes the direct path below the same size threshold as the planless
-/// overload, so for any given input both spellings produce identical bits.
-[[nodiscard]] std::vector<double> filter_same(std::span<const double> signal,
-                                              const OlsConvolver& kernel,
-                                              Workspace* ws = nullptr);
-
-/// `filter_same` through a prebuilt convolver into a caller-owned buffer
+/// the taps; core::PipelineContext caches it) into a caller-owned buffer
 /// (resized to signal.size(), every element overwritten) — the
 /// allocation-free spelling for batch loops whose output buffer persists
 /// across sessions (core::SessionWorkspace). Takes the direct path below
-/// the same size threshold, staging through `ws`, so all three spellings
-/// produce identical bits.
+/// the same size threshold as the planless spelling, staging through `ws`,
+/// so both spellings produce identical bits.
 void filter_same_into(std::span<const double> signal, const OlsConvolver& kernel,
                       std::vector<double>& out, Workspace& ws);
 

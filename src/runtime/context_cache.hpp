@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -10,27 +9,24 @@
 #include "core/pipeline_context.hpp"
 
 /// @file context_cache.hpp
-/// Sharded cache of immutable core::PipelineContext plan sets.
+/// Cache of immutable core::PipelineContext plan sets.
 ///
-/// The engine's old cache was one mutex over one vector: every session of
-/// every worker took the same lock just to *look up* plans that virtually
-/// never change. This cache shards by `core::plan_key_hash` of the
-/// (asp options, chirp, sample rate) key, so concurrent lookups of
-/// different configurations never contend, and workers additionally
-/// memoize the last context they used (runtime::WorkspacePool's
-/// WorkerState), which removes even the shard lock from the steady-state
-/// path — the cache is then touched only when a worker first sees a new
+/// One mutex over one vector is enough: workers memoize the last context
+/// they used (runtime::WorkspacePool's WorkerState), so the steady-state
+/// path never takes this lock — the cache is touched only when a worker
+/// first sees a new configuration — and `runtime::Server` already shards
+/// its engines by `core::plan_key_hash`, so each engine sees about one
 /// configuration.
 ///
 /// Contexts are immutable after construction, so handing the same
 /// shared_ptr to many workers is safe by construction; the lock protects
-/// only the shard's entry vector.
+/// only the entry vector.
 
 namespace hyperear::runtime {
 
 class ContextCache {
  public:
-  /// Find-or-build the plans for this configuration. The shard lock covers
+  /// Find-or-build the plans for this configuration. The lock covers
   /// construction too — the first session of a combination builds the
   /// plans while lookalikes wait, instead of racing to build duplicates
   /// (plan construction is the expensive part; a duplicate would also
@@ -43,47 +39,36 @@ class ContextCache {
   [[nodiscard]] std::shared_ptr<const core::PipelineContext> acquire(
       const core::PipelineConfig& config, const dsp::ChirpParams& chirp,
       double sample_rate) {
-    const std::uint64_t hash = core::plan_key_hash(config.asp, chirp, sample_rate);
-    Shard& shard = shards_[hash & (kShards - 1)];
-    const he::MutexLock lock(shard.mutex);
-    for (const auto& c : shard.entries) {
+    const he::MutexLock lock(mutex_);
+    for (const auto& c : entries_) {
       if (c->matches(config.asp, chirp, sample_rate)) return c;
     }
     try {
       auto fresh = std::make_shared<const core::PipelineContext>(config, chirp,
                                                                  sample_rate);
-      if (shard.entries.size() < kMaxPerShard) shard.entries.push_back(fresh);
+      if (entries_.size() < kMaxEntries) entries_.push_back(fresh);
       return fresh;
     } catch (const std::exception&) {
       return nullptr;
     }
   }
 
-  /// Cached plan sets across all shards (diagnostics/tests).
+  /// Cached plan sets (diagnostics/tests).
   [[nodiscard]] std::size_t size() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      const he::MutexLock lock(shard.mutex);
-      total += shard.entries.size();
-    }
-    return total;
+    const he::MutexLock lock(mutex_);
+    return entries_.size();
   }
 
  private:
-  static constexpr std::size_t kShards = 16;  ///< power of two (mask indexing)
-  /// Bounded per shard: virtually every batch uses one configuration, so
-  /// the bound only guards against an adversarial stream of distinct
-  /// configurations growing the cache without end. Overflow entries are
-  /// still returned, just not retained.
-  static constexpr std::size_t kMaxPerShard = 4;
+  /// Virtually every batch uses one configuration, so the bound only
+  /// guards against an adversarial stream of distinct configurations
+  /// growing the cache without end. Overflow entries are still returned,
+  /// just not retained.
+  static constexpr std::size_t kMaxEntries = 64;
 
-  struct Shard {
-    mutable he::Mutex mutex HE_LOCK_LEVEL(engine);
-    std::vector<std::shared_ptr<const core::PipelineContext>> entries
-        HE_GUARDED_BY(mutex);
-  };
-
-  std::array<Shard, kShards> shards_;
+  mutable he::Mutex mutex_ HE_LOCK_LEVEL(engine);
+  std::vector<std::shared_ptr<const core::PipelineContext>> entries_
+      HE_GUARDED_BY(mutex_);
 };
 
 }  // namespace hyperear::runtime

@@ -73,7 +73,7 @@ BatchEngine::BatchEngine(core::PipelineConfig config, std::size_t threads,
 std::shared_ptr<const core::PipelineContext> BatchEngine::context_for(
     WorkspacePool::WorkerState& state, const sim::Session& session) {
   // Steady state (same configuration as the state's last session)
-  // revalidates the memo with `matches` and never touches the sharded
+  // revalidates the memo with `matches` and never touches the shared
   // cache, so no cross-session lock is on this path.
   const double fs = session.audio.sample_rate;
   std::shared_ptr<const core::PipelineContext> context = state.last_context;

@@ -35,8 +35,7 @@
 /// `core::try_localize` against read-only shared plans, so the steady
 /// state crosses no per-session lock and performs (nearly) no heap
 /// allocation; throughput scales with workers because workers share
-/// nothing mutable. The old design — a single context-cache mutex and a
-/// shared intra-session channel executor — is gone from the batch path.
+/// nothing mutable.
 
 namespace hyperear::runtime {
 
@@ -97,7 +96,7 @@ struct EngineObs {
 /// programming error, unlike a corrupt session, which is data) and spins
 /// up the pool; the config is immutable for the engine's lifetime.
 ///
-/// The engine owns a sharded cache of immutable `core::PipelineContext`s
+/// The engine owns a cache of immutable `core::PipelineContext`s
 /// (runtime/context_cache.hpp) — the DSP plans (band-pass taps, chirp
 /// reference, matched-filter spectra, FFT tables) shared read-only by
 /// every worker — so plans are built once per (chirp, sample-rate)
@@ -208,8 +207,8 @@ class BatchEngine {
   std::shared_ptr<obs::Tracer> tracer_;
   Counters counters_;
   std::atomic<std::uint64_t> next_session_id_{0};
-  /// Shared immutable plans, sharded by configuration hash. Workers hit
-  /// this only when their memoized context does not match the session.
+  /// Shared immutable plans. Workers hit this only when their memoized
+  /// context does not match the session.
   ContextCache contexts_;
   /// Exclusive per-worker session state (workspace + memoized context),
   /// leased for one session at a time. Declared before pool_: in-flight

@@ -56,38 +56,15 @@ void ThreadPool::post(std::function<void()> task) {
     const he::MutexLock lock(mutex_);
     require(!stopping_, "ThreadPool::post: pool is shutting down");
     queue_.push_back(std::move(queued));
-    // The +1 must land inside the locked region: note_dequeued's -1 runs
-    // under this mutex, so any consumer that pops this task strictly
-    // follows the increment. Incrementing after unlock was safe when the
-    // only consumers were CV-woken workers (the notify below ordered
-    // them), but a try_run_one help-drainer polls the queue without
-    // waiting for the notify and could pop-and-decrement first, driving
-    // the gauge transiently negative (test_stress_pool pins this).
+    // The +1 must land inside the locked region: worker_loop's -1 runs
+    // under this mutex, so any worker that pops this task strictly follows
+    // the increment. The notify below does not order that: a worker that
+    // just finished a task re-checks the queue without waiting for it, and
+    // could otherwise pop-and-decrement first, driving the gauge
+    // transiently negative (test_stress_pool pins this).
     if (instrumented) queue_depth_.add(1.0);
   }
   wake_.notify_one();
-}
-
-void ThreadPool::note_dequeued(const QueuedTask& task) {
-  if (!metrics_installed_.load(std::memory_order_acquire)) return;
-  queue_depth_.add(-1.0);
-  task_wait_ms_.observe(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - task.posted)
-                            .count());
-  tasks_run_.inc();
-}
-
-bool ThreadPool::try_run_one() {
-  QueuedTask task;
-  {
-    const he::MutexLock lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    note_dequeued(task);
-  }
-  task.fn();
-  return true;
 }
 
 void ThreadPool::worker_loop() {
@@ -102,7 +79,13 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      note_dequeued(task);
+      if (metrics_installed_.load(std::memory_order_acquire)) {
+        queue_depth_.add(-1.0);
+        task_wait_ms_.observe(std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - task.posted)
+                                  .count());
+        tasks_run_.inc();
+      }
     }
     task.fn();
   }

@@ -55,17 +55,6 @@ class ThreadPool {
   /// throws. Idempotent; does not block — the destructor joins.
   void stop() HE_EXCLUDES(mutex_);
 
-  /// Pop one queued task (if any) and run it on the CALLING thread.
-  /// Returns false immediately when the queue is empty. This is the
-  /// help-drain primitive for callers that posted work and are waiting for
-  /// it: instead of blocking while every worker is busy, the waiter runs
-  /// queued tasks itself, which keeps nested fan-out (sessions posting
-  /// per-channel tasks onto the same pool) deadlock-free. Safe from any
-  /// number of threads concurrently with posts — the queue-depth gauge is
-  /// updated under the queue lock on both sides, so it never dips below
-  /// zero even when a help-drainer races the poster.
-  bool try_run_one() HE_EXCLUDES(mutex_);
-
   /// True once stop() has been called. Advisory for contract checks: a
   /// false answer can be stale by the time the caller acts on it, so post()
   /// still revalidates under the lock.
@@ -82,9 +71,6 @@ class ThreadPool {
   };
 
   void worker_loop() HE_EXCLUDES(mutex_);
-  /// Dequeue bookkeeping shared by worker_loop and try_run_one; called
-  /// with `mutex_` held, right after popping `task` off the queue.
-  void note_dequeued(const QueuedTask& task) HE_REQUIRES(mutex_);
 
   mutable he::Mutex mutex_ HE_LOCK_LEVEL(pool);
   he::CondVar wake_;

@@ -27,7 +27,7 @@
 /// Each state also memoizes the last PipelineContext its sessions used.
 /// That pointer is worker-private (no lock to read it), so the steady
 /// state — thousands of sessions, one configuration — touches neither the
-/// context-cache shard lock nor any other cross-session lock; the pool's
+/// context-cache lock nor any other cross-session lock; the pool's
 /// own mutex guards only an O(1) pointer pop/push per session.
 
 namespace hyperear::runtime {

@@ -266,7 +266,7 @@ TEST(WorkspacePool, ConcurrentLeasesNeverShareState) {
           if (!live.insert(&*lease).second) overlap.store(true);
         }
         ++lease->sessions_served;  // mutate: tsan sees any aliasing
-        lease->workspace.reset();
+        lease->workspace.sfo_times.clear();
         {
           const std::lock_guard<std::mutex> lock(mutex);
           live.erase(&*lease);

@@ -152,17 +152,18 @@ TEST(OlsOverloads, FilterSameSpellingsAreBitIdentical) {
   std::vector<double> taps = rng.gaussian_vector(255);
   const OlsConvolver cached(taps);
   Workspace ws;
-  // Large product (OLS path) and small product (direct path) both must be
-  // exactly equal between the planless and plan-cached spellings — the
+  std::vector<double> out(7, -1.0);  // dirty, reused across sizes
+  // Small product (direct path) and large product (OLS path) both must be
+  // exactly equal between the planless and `_into` spellings — the
   // contract that lets PipelineContext swap its cache in and out without
   // perturbing a single bit of the pipeline output.
   for (std::size_t n : {100u, 5000u}) {
     std::vector<double> x = rng.gaussian_vector(n);
     const std::vector<double> planless = filter_same(x, taps);
-    const std::vector<double> planned = filter_same(x, cached, &ws);
-    ASSERT_EQ(planless.size(), planned.size());
+    filter_same_into(x, cached, out, ws);
+    ASSERT_EQ(planless.size(), out.size());
     for (std::size_t i = 0; i < planless.size(); ++i) {
-      EXPECT_EQ(planless[i], planned[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(planless[i], out[i]) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -172,28 +173,15 @@ TEST(OlsOverloads, CorrelateValidSpellingsAreBitIdentical) {
   std::vector<double> h = rng.gaussian_vector(255);
   const OlsConvolver reversed(std::vector<double>(h.rbegin(), h.rend()));
   Workspace ws;
-  for (std::size_t n : {300u, 4000u}) {
+  std::vector<double> out(7, -1.0);
+  // 256 x 255 is under kDirectProductLimit (direct path); 4000 x 255 is not.
+  for (std::size_t n : {256u, 4000u}) {
     std::vector<double> x = rng.gaussian_vector(n);
     const std::vector<double> planless = correlate_valid(x, h);
-    const std::vector<double> planned = correlate_valid(x, reversed, &ws);
-    ASSERT_EQ(planless.size(), planned.size());
+    correlate_valid_into(x, reversed, out, ws);
+    ASSERT_EQ(planless.size(), out.size());
     for (std::size_t i = 0; i < planless.size(); ++i) {
-      EXPECT_EQ(planless[i], planned[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(OlsOverloads, CorrelateFullSpellingsAreBitIdentical) {
-  Rng rng(31);
-  std::vector<double> h = rng.gaussian_vector(255);
-  const OlsConvolver reversed(std::vector<double>(h.rbegin(), h.rend()));
-  for (std::size_t n : {200u, 2000u}) {
-    std::vector<double> x = rng.gaussian_vector(n);
-    const std::vector<double> planless = correlate_full(x, h);
-    const std::vector<double> planned = correlate_full(x, reversed);
-    ASSERT_EQ(planless.size(), planned.size());
-    for (std::size_t i = 0; i < planless.size(); ++i) {
-      EXPECT_EQ(planless[i], planned[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(planless[i], out[i]) << "n=" << n << " i=" << i;
     }
   }
 }

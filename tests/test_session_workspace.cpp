@@ -1,8 +1,7 @@
-/// SessionWorkspace + arena: the canonical context-taking pipeline spelling
-/// and its context-free wrappers must be the SAME computation — bit-identical
+/// SessionWorkspace: the canonical context-taking pipeline spelling and its
+/// context-free wrappers must be the SAME computation — bit-identical
 /// results whatever workspace history is — and a reused workspace must only
-/// ever retain capacity, never information. The arena tests pin the
-/// reset-retains-capacity contract the steady-state engine path relies on.
+/// ever retain capacity, never information.
 
 #include "core/session_workspace.hpp"
 
@@ -11,10 +10,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "core/asp.hpp"
 #include "core/pipeline.hpp"
 #include "core/pipeline_context.hpp"
+#include "core/streaming_session.hpp"
 #include "sim/scenario.hpp"
 
 namespace hyperear::core {
@@ -145,65 +144,34 @@ TEST(SessionWorkspace, MismatchedContextStillFallsBackToLocalPlans) {
   expect_identical_results(*guarded, *honest);
 }
 
-// --- arena ---------------------------------------------------------------
-
-TEST(Arena, ResetRetainsCapacityAndStopsGrowing) {
-  MonotonicArena arena;
-  EXPECT_EQ(arena.capacity_bytes(), 0u);  // lazy first block
-
-  const auto churn = [&arena] {
-    ArenaVector<double> v{ArenaAllocator<double>{arena}};
-    for (int i = 0; i < 10000; ++i) v.push_back(static_cast<double>(i));
-    return v.back();
-  };
-  (void)churn();
-  const std::size_t warm = arena.capacity_bytes();
-  EXPECT_GT(warm, 0u);
-  for (int round = 0; round < 5; ++round) {
-    arena.reset();
-    EXPECT_EQ(arena.used_bytes(), 0u);
-    EXPECT_EQ(churn(), 9999.0);
-    EXPECT_EQ(arena.capacity_bytes(), warm)
-        << "arena grew on round " << round << " despite reset";
-  }
-}
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  MonotonicArena arena;
-  void* a = arena.allocate(3, 1);
-  void* b = arena.allocate(16, 16);
-  void* c = arena.allocate(8, 8);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 16, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 8, 0u);
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  // Oversized request: dedicated block, still served.
-  void* big = arena.allocate((std::size_t{1} << 23) + 5, 32);
-  EXPECT_NE(big, nullptr);
-  EXPECT_GE(arena.capacity_bytes(), (std::size_t{1} << 23) + 5);
-}
-
-TEST(Arena, VectorsSurviveGrowthAcrossBlocks) {
-  MonotonicArena arena(64);  // tiny first block forces block-chain growth
-  ArenaVector<int> v{ArenaAllocator<int>{arena}};
-  for (int i = 0; i < 5000; ++i) v.push_back(i);
-  for (int i = 0; i < 5000; ++i) ASSERT_EQ(v[static_cast<std::size_t>(i)], i);
-}
-
-TEST(SessionWorkspace, ArenaCapacityStableAcrossSessions) {
-  // The workspace arena must reach steady state: after one session warmed
-  // it, further sessions of the same shape must not grow it.
+TEST(SessionWorkspace, SfoScratchCapacityStableAcrossSessions) {
+  // The SFO fit's scratch series must reach steady state: after one session
+  // warmed them, neither further batch sessions nor a streamed session
+  // finalized through the same workspace may grow them.
   const sim::Session s = small_session(705);
   const PipelineConfig config;
   const PipelineContext context(config, s.prior.chirp, s.audio.sample_rate);
   SessionWorkspace workspace;
 
   ASSERT_TRUE(try_localize(s, config, context, workspace).has_value());
-  const std::size_t warm = workspace.arena().capacity_bytes();
-  for (int round = 0; round < 3; ++round) {
+  const std::size_t warm_times = workspace.sfo_times.capacity();
+  const std::size_t warm_index = workspace.sfo_index.capacity();
+  ASSERT_GT(warm_times, 0u);
+  ASSERT_GT(warm_index, 0u);
+  for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(try_localize(s, config, context, workspace).has_value());
-    EXPECT_EQ(workspace.arena().capacity_bytes(), warm);
+    EXPECT_EQ(workspace.sfo_times.capacity(), warm_times);
+    EXPECT_EQ(workspace.sfo_index.capacity(), warm_index);
   }
+
+  sim::Session meta = s;
+  meta.audio.mic1.clear();
+  meta.audio.mic2.clear();
+  StreamingSession streamed(std::move(meta), config, nullptr, &workspace);
+  streamed.push(s.audio.mic1, s.audio.mic2);
+  ASSERT_TRUE(streamed.finalize().has_value());
+  EXPECT_EQ(workspace.sfo_times.capacity(), warm_times);
+  EXPECT_EQ(workspace.sfo_index.capacity(), warm_index);
 }
 
 }  // namespace

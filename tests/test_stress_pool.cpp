@@ -1,8 +1,6 @@
-/// Concurrency stress tests for ThreadPool::try_run_one and
-/// PoolPairExecutor (ctest label "stress"; run them under the `tsan`
-/// preset). The scenarios the engine depends on for liveness: nested
-/// fan-out on an undersized pool (sessions posting channel pairs onto the
-/// same workers), help-draining waiters, and producers racing stop().
+/// Concurrency stress tests for ThreadPool (ctest label "stress"; run them
+/// under the `tsan` preset): producers racing stop(), queue telemetry under
+/// concurrent workers, and completion-chained posts on a pool of one.
 
 #include "runtime/thread_pool.hpp"
 
@@ -13,130 +11,14 @@
 #include <cstddef>
 #include <functional>
 #include <future>
-#include <memory>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/pool_pair_executor.hpp"
 
 namespace hyperear::runtime {
 namespace {
-
-std::size_t hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 4 : hw;
-}
-
-TEST(ThreadPoolStress, TryRunOneOnEmptyQueueReturnsFalse) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.try_run_one());
-}
-
-TEST(ThreadPoolStress, TryRunOneRunsQueuedTasksOnTheCallingThread) {
-  ThreadPool pool(1);
-  // Park the only worker on a gate so subsequent posts stay queued; wait
-  // for it to actually hold the gate before posting (otherwise this thread
-  // could pick the gate task up via try_run_one and deadlock itself).
-  std::promise<void> started;
-  std::promise<void> release;
-  std::shared_future<void> release_future = release.get_future().share();
-  pool.post([&started, release_future] {
-    started.set_value();
-    release_future.wait();
-  });
-  started.get_future().wait();
-
-  constexpr std::size_t kTasks = 8;
-  std::atomic<std::size_t> ran{0};
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> all_on_caller{true};
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    pool.post([&ran, &all_on_caller, caller] {
-      if (std::this_thread::get_id() != caller) all_on_caller = false;
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  std::size_t drained = 0;
-  while (pool.try_run_one()) ++drained;
-  EXPECT_EQ(drained, kTasks);
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_TRUE(all_on_caller.load());  // the worker never saw these tasks
-  release.set_value();
-}
-
-/// Nested fan-out: outer tasks on the pool each split into a channel pair
-/// on the SAME pool. With help-draining this completes at every pool size
-/// — including size 1, where the lone worker must run both halves of every
-/// pair itself while "waiting".
-void nested_fan_out_completes(std::size_t pool_size) {
-  ThreadPool pool(pool_size);
-  const PoolPairExecutor executor(pool);
-  constexpr std::size_t kOuter = 12;
-  std::atomic<std::size_t> halves{0};
-
-  std::vector<std::future<void>> done;
-  done.reserve(kOuter);
-  for (std::size_t i = 0; i < kOuter; ++i) {
-    auto task = std::make_shared<std::packaged_task<void()>>([&executor, &halves] {
-      executor.run_pair([&halves] { halves.fetch_add(1); },
-                        [&halves] { halves.fetch_add(1); });
-    });
-    done.push_back(task->get_future());
-    pool.post([task] { (*task)(); });
-  }
-  for (std::future<void>& f : done) f.get();
-  EXPECT_EQ(halves.load(), 2 * kOuter);
-}
-
-TEST(ThreadPoolStress, NestedFanOutCompletesOnPoolOfOne) {
-  nested_fan_out_completes(1);
-}
-TEST(ThreadPoolStress, NestedFanOutCompletesOnPoolOfTwo) {
-  nested_fan_out_completes(2);
-}
-TEST(ThreadPoolStress, NestedFanOutCompletesOnFullPool) {
-  nested_fan_out_completes(hardware_threads());
-}
-
-TEST(ThreadPoolStress, RunPairPropagatesTheFirstClosuresException) {
-  ThreadPool pool(2);
-  const PoolPairExecutor executor(pool);
-  std::atomic<bool> b_ran{false};
-  EXPECT_THROW(
-      executor.run_pair([] { throw std::runtime_error("a failed"); },
-                        [&b_ran] { b_ran = true; }),
-      std::runtime_error);
-  EXPECT_TRUE(b_ran.load());  // b still ran; a's error surfaced after
-}
-
-TEST(ThreadPoolStress, RunPairPropagatesTheSecondClosuresException) {
-  ThreadPool pool(2);
-  const PoolPairExecutor executor(pool);
-  std::atomic<bool> a_ran{false};
-  EXPECT_THROW(executor.run_pair([&a_ran] { a_ran = true; },
-                                 [] { throw std::runtime_error("b failed"); }),
-               std::runtime_error);
-  // run_pair must not rethrow b's error before a finished (a references
-  // caller state), so by the time the throw surfaced a had run.
-  EXPECT_TRUE(a_ran.load());
-}
-
-TEST(ThreadPoolStress, RunPairDegradesToSerialAfterStop) {
-  ThreadPool pool(1);
-  pool.stop();
-  EXPECT_THROW(pool.post([] {}), PreconditionError);
-
-  const PoolPairExecutor executor(pool);
-  std::vector<int> order;
-  executor.run_pair([&order] { order.push_back(1); },
-                    [&order] { order.push_back(2); });
-  ASSERT_EQ(order.size(), 2u);  // both ran on this thread, in serial order
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-}
 
 TEST(ThreadPoolStress, DrainOnStopRunsEveryAcceptedTaskExactlyOnce) {
   constexpr std::size_t kProducers = 4;
@@ -159,8 +41,6 @@ TEST(ThreadPoolStress, DrainOnStopRunsEveryAcceptedTaskExactlyOnce) {
           } catch (const PreconditionError&) {
             // stop() won the race; the task was never enqueued.
           }
-          // A waiter that help-drains while producers race stop().
-          pool.try_run_one();
         }
       });
     }
@@ -189,9 +69,7 @@ TEST(ThreadPoolStress, MetricsCountEveryTaskAndQueueDepthReturnsToZero) {
     for (std::size_t i = 0; i < kTasks; ++i) {
       pool.post([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
-    while (pool.try_run_one()) {
-    }
-  }  // destructor drains the rest
+  }  // destructor drains the queue
   const obs::MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].first, "pool.tasks_run_total");
@@ -204,31 +82,22 @@ TEST(ThreadPoolStress, MetricsCountEveryTaskAndQueueDepthReturnsToZero) {
   EXPECT_EQ(snap.histograms[0].count, kTasks);
 }
 
-TEST(ThreadPoolStress, QueueDepthGaugeNeverDipsNegativeUnderHelpDraining) {
-  // Regression for a latent single-consumer assumption: post() used to
-  // bump the queue-depth gauge AFTER releasing the queue lock, while
-  // dequeues decrement it under the lock. CV-woken workers never noticed
-  // (the notify ordered them behind the increment), but a try_run_one
-  // help-drainer — the serving layer's dispatch-context pattern — polls
-  // the queue without the notify and could pop-and-decrement first,
-  // driving the gauge transiently negative. The +1 now lands inside the
-  // locked region; a sampler racing posters and help-drainers must never
-  // observe a negative depth.
+TEST(ThreadPoolStress, QueueDepthGaugeNeverDipsNegativeUnderConcurrentWorkers) {
+  // Regression for the gauge's ordering: dequeues decrement it under the
+  // queue lock, so post() must increment it under the same lock. A worker
+  // that just finished a task re-checks the queue without waiting for the
+  // notify, so an increment after unlock could land behind the worker's
+  // pop-and-decrement and drive the gauge transiently negative. A sampler
+  // racing a poster and busy workers must never observe a negative depth.
   obs::MetricsRegistry registry;
   constexpr std::size_t kTasks = 2000;
   {
-    ThreadPool pool(1);
+    ThreadPool pool(2);
     pool.install_metrics(registry, "pool");
     const obs::Gauge depth = registry.gauge("pool.queue_depth");
     std::atomic<bool> done{false};
     std::atomic<bool> negative_seen{false};
 
-    std::vector<std::thread> drainers;
-    for (int d = 0; d < 2; ++d) {
-      drainers.emplace_back([&pool, &done] {
-        while (!done.load(std::memory_order_acquire)) pool.try_run_one();
-      });
-    }
     std::thread sampler([&depth, &done, &negative_seen] {
       while (!done.load(std::memory_order_acquire)) {
         if (depth.value() < 0.0) negative_seen.store(true);
@@ -239,9 +108,8 @@ TEST(ThreadPoolStress, QueueDepthGaugeNeverDipsNegativeUnderHelpDraining) {
     for (std::size_t i = 0; i < kTasks; ++i) {
       pool.post([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
-    while (ran.load(std::memory_order_acquire) < kTasks) pool.try_run_one();
+    while (ran.load(std::memory_order_acquire) < kTasks) std::this_thread::yield();
     done.store(true, std::memory_order_release);
-    for (std::thread& t : drainers) t.join();
     sampler.join();
     EXPECT_FALSE(negative_seen.load());
   }
@@ -251,8 +119,7 @@ TEST(ThreadPoolStress, QueueDepthGaugeNeverDipsNegativeUnderHelpDraining) {
 TEST(ThreadPoolStress, CompletionChainedPostsDrainOnPoolOfOne) {
   // The serving layer pumps from completion context: a pool task, as it
   // finishes, posts the NEXT task onto the same pool. Pin that such
-  // chains complete on a pool of one even when an outside waiter is
-  // help-draining — any link of the chain may run on either thread.
+  // chains complete on a pool of one: the lone worker runs every link.
   std::function<void(int)> chain;  // declared before the pool: links may
                                    // still reference it while the pool drains
   ThreadPool pool(1);
@@ -268,11 +135,7 @@ TEST(ThreadPoolStress, CompletionChainedPostsDrainOnPoolOfOne) {
     pool.post([&chain, remaining] { chain(remaining - 1); });
   };
   pool.post([&chain] { chain(kLinks - 1); });
-  std::future<void> done = finished.get_future();
-  while (done.wait_for(std::chrono::milliseconds(0)) !=
-         std::future_status::ready) {
-    pool.try_run_one();
-  }
+  finished.get_future().wait();
   EXPECT_EQ(ran.load(), kLinks);
 }
 

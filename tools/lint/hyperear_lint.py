@@ -26,9 +26,9 @@ applied regex/AST-lite style over the checked-in sources:
                 In those files, std::vector value declarations (locals,
                 by-value parameters, by-value returns) and resize/reserve
                 on receivers that are not workspace-owned (`ws.*`, `out`,
-                `workspace*`, or an ArenaVector declared in the file) are
-                flagged. Cold-path code in a hot file — plan construction,
-                convenience wrappers returning owning containers —
+                `workspace*`) are flagged. Cold-path code in a hot file —
+                plan construction, convenience wrappers returning owning
+                containers —
                 suppresses with `NOLINT(hyperear-hotpath) -- <why>`
                 (NEXTLINE/BEGIN/END work too, reasons required as usual).
   concurrency   src/runtime + src/obs never name the raw std primitives
@@ -215,9 +215,6 @@ class Linter:
         is_hotpath = rel in self.hotpath_files
         if is_hotpath:
             self.hotpath_seen.add(rel)
-            # ArenaVector-backed buffers bump a workspace arena, not the
-            # heap: resize/reserve on them is sanctioned by declaration.
-            arena_names = set(re.findall(r"\bArenaVector<[^>]*>\s+(\w+)", text))
             hot_block_suppressed = False
             hot_next_suppressed = False
 
@@ -271,7 +268,7 @@ class Linter:
                     hot_block_suppressed = False
                 hot_next_suppressed = self.HOT_NOLINT_NEXTLINE.search(line) is not None
                 if not suppressed:
-                    self.check_hotpath(path, idx, code, arena_names)
+                    self.check_hotpath(path, idx, code)
 
     def check_whitespace(self, path: Path, idx: int, line: str) -> None:
         stripped = line.rstrip("\r")
@@ -548,9 +545,7 @@ class Linter:
     # convention (`out`), and anything spelled as a workspace.
     HOT_SANCTIONED_RECEIVERS = {"ws", "out", "workspace"}
 
-    def check_hotpath(
-        self, path: Path, idx: int, code: str, arena_names: set[str]
-    ) -> None:
+    def check_hotpath(self, path: Path, idx: int, code: str) -> None:
         for _ in self.find_vector_value_decls(code):
             self.add(
                 "hotpath",
@@ -564,7 +559,7 @@ class Linter:
             receiver_head = re.split(r"\.|->", m.group(1))[0]
             if receiver_head in self.HOT_SANCTIONED_RECEIVERS:
                 continue
-            if receiver_head in arena_names or "workspace" in receiver_head:
+            if "workspace" in receiver_head:
                 continue
             self.add(
                 "hotpath",
