@@ -137,26 +137,24 @@ BENCHMARK(BM_RenderSecond);
 // the same function; the rows record the speedup and the per-op allocator
 // traffic.
 
-double time_ns_per_op(int reps, const std::function<void()>& op) {
-  using BenchClock = std::chrono::steady_clock;
-  op();  // warm-up: page in buffers, build lazy state
-  const BenchClock::time_point t0 = BenchClock::now();
-  for (int r = 0; r < reps; ++r) op();
-  const double ns =
-      std::chrono::duration<double, std::nano>(BenchClock::now() - t0).count();
-  return ns / reps;
-}
-
+/// Time and allocation-count `reps` calls of `fn` after one warm-up call
+/// (pages in buffers, builds lazy state, grows persistent outputs), so both
+/// columns report the steady state.
 bench::BenchRow measure(const std::string& op, const std::string& variant,
                         std::size_t n, int reps, const std::function<void()>& fn) {
+  using BenchClock = std::chrono::steady_clock;
   bench::BenchRow row;
   row.op = op;
   row.variant = variant;
   row.n = n;
+  fn();
   const std::size_t bytes0 = bench::allocated_bytes();
-  const int counted = reps + 1;  // the warm-up rep allocates like any other
-  row.ns_per_op = time_ns_per_op(reps, fn);
-  row.bytes_allocated = (bench::allocated_bytes() - bytes0) / static_cast<std::size_t>(counted);
+  const BenchClock::time_point t0 = BenchClock::now();
+  for (int r = 0; r < reps; ++r) fn();
+  const double ns =
+      std::chrono::duration<double, std::nano>(BenchClock::now() - t0).count();
+  row.ns_per_op = ns / reps;
+  row.bytes_allocated = (bench::allocated_bytes() - bytes0) / static_cast<std::size_t>(reps);
   std::printf("%-22s %-16s n=%-8zu %12.0f ns/op %12zu bytes/op\n", op.c_str(),
               variant.c_str(), n, row.ns_per_op, row.bytes_allocated);
   return row;

@@ -5,8 +5,7 @@
 /// exists to bound. Every cadence's fix is checked bit-for-bit against the
 /// batch `try_localize` on the concatenated audio (the correctness anchor;
 /// a mismatch fails the binary, so the bench-smoke ctest run catches a
-/// divergence the moment it appears). A final row multiplexes four
-/// sessions through the StreamingEngine to time the service-shaped path.
+/// divergence the moment it appears).
 ///
 /// Output: BENCH_streaming.json —
 ///   streaming_ingest / chunk-*        ns per ingested sample per cadence
@@ -14,12 +13,10 @@
 ///                                     window in bytes (both channels);
 ///                                     the schema check enforces it stays
 ///                                     below one channel's full retention
-///   streaming_engine / sessions-4     ns per sample, 4 sessions x 4 workers
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <span>
 #include <string>
 #include <utility>
@@ -29,7 +26,6 @@
 #include "bench_util.hpp"
 #include "core/pipeline.hpp"
 #include "core/streaming_session.hpp"
-#include "runtime/streaming_engine.hpp"
 #include "sim/scenario.hpp"
 
 HYPEREAR_DEFINE_ALLOC_COUNTER()
@@ -114,54 +110,6 @@ int main() {
     peak.op = "streaming_peak_retained";
     peak.bytes_allocated = peak_bytes;
     rows.push_back(peak);
-  }
-
-  {
-    // The service-shaped path: four sessions of the same recording
-    // interleaved 100 ms at a time through the StreamingEngine's pool.
-    constexpr std::size_t kSessions = 4;
-    runtime::StreamingEngineOptions opt;
-    opt.threads = 4;
-    runtime::StreamingEngine engine({}, opt);
-    const Clock::time_point t0 = Clock::now();
-    std::vector<std::uint64_t> ids;
-    for (std::size_t i = 0; i < kSessions; ++i) ids.push_back(engine.open(batch));
-    const std::size_t slice = 4410;
-    for (std::size_t pos = 0; pos < n; pos += slice) {
-      const std::size_t len = std::min(slice, n - pos);
-      for (const std::uint64_t id : ids) {
-        runtime::PushStatus status;
-        do {
-          status = engine.push(id, std::span<const double>(mic1).subspan(pos, len),
-                               std::span<const double>(mic2).subspan(pos, len));
-        } while (status == runtime::PushStatus::overflow);  // backpressure
-        if (status != runtime::PushStatus::accepted) {
-          std::fprintf(stderr, "bench_streaming: push rejected (%s)\n",
-                       runtime::to_string(status));
-          return 1;
-        }
-      }
-    }
-    std::vector<std::future<runtime::SessionReport>> futures;
-    for (const std::uint64_t id : ids) futures.push_back(engine.finalize(id));
-    bool same = true;
-    for (std::future<runtime::SessionReport>& f : futures) {
-      const runtime::SessionReport r = f.get();
-      same = same && r.status == runtime::SessionStatus::ok &&
-             identical(r.result, *expect);
-    }
-    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    all_identical = all_identical && same;
-    std::printf("%12s %10.3f %12.2f %14s %10s\n", "engine-4x4", seconds,
-                seconds * 1e9 / static_cast<double>(n * kSessions), "-",
-                same ? "yes" : "MISMATCH");
-
-    bench::BenchRow row;
-    row.op = "streaming_engine";
-    row.variant = "sessions-4-threads-4";
-    row.n = n * kSessions;
-    row.ns_per_op = seconds * 1e9 / static_cast<double>(n * kSessions);
-    rows.push_back(row);
   }
 
   bench::write_bench_json("BENCH_streaming.json", rows);

@@ -113,10 +113,8 @@ namespace hyperear {
 // The runtime's global lock order, outermost first:
 //
 //   server    runtime::Server::mutex_            (admission queue)
-//   streaming runtime::StreamingEngine::sessions_mutex_ (session map)
-//   session   runtime::StreamingEngine::Entry::mutex    (per-session inbox)
 //   engine    runtime::WorkspacePool::mutex_,
-//             runtime::ContextCache::mutex_ (per-worker state, plans)
+//             runtime::ContextCache::mutex_      (per-worker state, plans)
 //   pool      runtime::ThreadPool::mutex_        (task queue)
 //   registry  obs::MetricsRegistry::mutex_,
 //             obs::Tracer::mutex_                (telemetry collection)
@@ -148,9 +146,7 @@ class HE_CAPABILITY("lock_level") LockLevel {
 /// HE_ACQUIRED_AFTER chain here IS the level order; hyperear_lint.py
 /// cross-validates it against tools/lint/lock_order.txt.
 inline LockLevel below_server;
-inline LockLevel below_streaming HE_ACQUIRED_AFTER(below_server);
-inline LockLevel below_session HE_ACQUIRED_AFTER(below_streaming);
-inline LockLevel below_engine HE_ACQUIRED_AFTER(below_session);
+inline LockLevel below_engine HE_ACQUIRED_AFTER(below_server);
 inline LockLevel below_pool HE_ACQUIRED_AFTER(below_engine);
 
 }  // namespace lock_order
@@ -164,14 +160,8 @@ inline LockLevel below_pool HE_ACQUIRED_AFTER(below_engine);
 
 #define HE_LOCK_LEVEL_server \
   HE_ACQUIRED_BEFORE(::hyperear::lock_order::below_server)
-#define HE_LOCK_LEVEL_streaming                             \
-  HE_ACQUIRED_AFTER(::hyperear::lock_order::below_server)   \
-  HE_ACQUIRED_BEFORE(::hyperear::lock_order::below_streaming)
-#define HE_LOCK_LEVEL_session                                \
-  HE_ACQUIRED_AFTER(::hyperear::lock_order::below_streaming) \
-  HE_ACQUIRED_BEFORE(::hyperear::lock_order::below_session)
-#define HE_LOCK_LEVEL_engine                               \
-  HE_ACQUIRED_AFTER(::hyperear::lock_order::below_session) \
+#define HE_LOCK_LEVEL_engine                              \
+  HE_ACQUIRED_AFTER(::hyperear::lock_order::below_server) \
   HE_ACQUIRED_BEFORE(::hyperear::lock_order::below_engine)
 #define HE_LOCK_LEVEL_pool                                \
   HE_ACQUIRED_AFTER(::hyperear::lock_order::below_engine) \

@@ -43,7 +43,8 @@
 /// `PipelineContext` is shared immutable plans; the `SessionWorkspace`
 /// (caller-leased or session-owned) is single-owner scratch. A
 /// StreamingSession is therefore single-owner too — one thread at a time
-/// (runtime::StreamingEngine serializes each session onto its drain task).
+/// (runtime::BatchEngine's streaming class runs each one on a single
+/// worker, start to finish).
 
 namespace hyperear::obs {
 struct ObsContext;

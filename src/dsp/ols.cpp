@@ -155,19 +155,17 @@ void OlsConvolver::convolve_pair_into(std::span<const double> x, std::size_t x_s
 }
 
 // NOLINTBEGIN(hyperear-hotpath) -- convenience wrappers: return owning containers; steady-state callers use the _into spellings
-std::vector<double> OlsConvolver::convolve_full(std::span<const double> x,
-                                                Workspace* ws) const {
-  Workspace local;
+std::vector<double> OlsConvolver::convolve_full(std::span<const double> x) const {
+  Workspace ws;
   std::vector<double> out(x.size() + kernel_.size() - 1);
-  convolve_into(x, 0, out.size(), out.data(), ws != nullptr ? *ws : local);
+  convolve_into(x, 0, out.size(), out.data(), ws);
   return out;
 }
 
-std::vector<double> OlsConvolver::filter_same(std::span<const double> x,
-                                              Workspace* ws) const {
-  Workspace local;
+std::vector<double> OlsConvolver::filter_same(std::span<const double> x) const {
+  Workspace ws;
   std::vector<double> out;
-  filter_same_into(x, out, ws != nullptr ? *ws : local);
+  filter_same_into(x, out, ws);
   return out;
 }
 // NOLINTEND(hyperear-hotpath) -- end of convenience wrappers
@@ -180,11 +178,10 @@ void OlsConvolver::filter_same_into(std::span<const double> x, std::vector<doubl
 }
 
 // NOLINTBEGIN(hyperear-hotpath) -- convenience wrapper: returns an owning container; steady-state callers use correlate_valid_into
-std::vector<double> OlsConvolver::correlate_valid(std::span<const double> x,
-                                                  Workspace* ws) const {
-  Workspace local;
+std::vector<double> OlsConvolver::correlate_valid(std::span<const double> x) const {
+  Workspace ws;
   std::vector<double> out;
-  correlate_valid_into(x, out, ws != nullptr ? *ws : local);
+  correlate_valid_into(x, out, ws);
   return out;
 }
 // NOLINTEND(hyperear-hotpath) -- end of convenience wrappers

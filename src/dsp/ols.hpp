@@ -106,13 +106,11 @@ class OlsConvolver {
                           Workspace& ws) const;
 
   /// Full linear convolution; length x.size() + kernel_size() - 1.
-  [[nodiscard]] std::vector<double> convolve_full(std::span<const double> x,
-                                                  Workspace* ws = nullptr) const;
+  [[nodiscard]] std::vector<double> convolve_full(std::span<const double> x) const;
 
   /// FIR "same" filtering: output has x.size() samples with the group delay
   /// of the (odd, symmetric) kernel removed. Requires an odd kernel.
-  [[nodiscard]] std::vector<double> filter_same(std::span<const double> x,
-                                                Workspace* ws = nullptr) const;
+  [[nodiscard]] std::vector<double> filter_same(std::span<const double> x) const;
 
   /// `filter_same` into a caller-owned buffer (resized to x.size(), every
   /// element overwritten) — the allocation-free spelling for batch loops
@@ -124,8 +122,7 @@ class OlsConvolver {
   /// Valid-mode correlation of x against the template whose REVERSAL is
   /// this convolver's kernel; length x.size() - kernel_size() + 1. Requires
   /// kernel_size() <= x.size().
-  [[nodiscard]] std::vector<double> correlate_valid(std::span<const double> x,
-                                                    Workspace* ws = nullptr) const;
+  [[nodiscard]] std::vector<double> correlate_valid(std::span<const double> x) const;
 
   /// `correlate_valid` into a caller-owned buffer (resized to the valid
   /// length, every element overwritten). Bit-identical to `correlate_valid`.

@@ -29,6 +29,31 @@ std::size_t as_count(double value) {
   return static_cast<std::size_t>(std::llround(value));
 }
 
+/// The streaming class's ingest: `meta` carries everything except the
+/// samples, which arrive through push() in `chunk_samples`-sample slices,
+/// exactly as a live phone would deliver them.
+Expected<core::LocalizationResult, core::PipelineError> localize_streamed(
+    const sim::Session& session, const core::PipelineConfig& config,
+    std::size_t chunk_samples, std::shared_ptr<const core::PipelineContext> context,
+    core::SessionWorkspace& workspace, core::StageMetrics* metrics,
+    const obs::ObsContext* obs) {
+  sim::Session meta;
+  meta.imu = session.imu;
+  meta.truth = session.truth;
+  meta.prior = session.prior;
+  meta.config = session.config;
+  meta.audio.sample_rate = session.audio.sample_rate;
+  core::StreamingSession stream(std::move(meta), config, std::move(context),
+                                &workspace);
+  const std::span<const double> mic1(session.audio.mic1);
+  const std::span<const double> mic2(session.audio.mic2);
+  for (std::size_t i = 0; i < mic1.size(); i += chunk_samples) {
+    const std::size_t n = std::min(chunk_samples, mic1.size() - i);
+    stream.push(mic1.subspan(i, n), mic2.subspan(i, n));
+  }
+  return stream.finalize(metrics, obs);
+}
+
 }  // namespace
 
 const char* to_string(SessionStatus status) {
@@ -70,6 +95,10 @@ BatchEngine::BatchEngine(core::PipelineConfig config, std::size_t threads,
   pool_.install_metrics(m, "engine.pool");
 }
 
+std::uint64_t BatchEngine::allocate_session_id() {
+  return next_session_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 std::shared_ptr<const core::PipelineContext> BatchEngine::context_for(
     WorkspacePool::WorkerState& state, const sim::Session& session) {
   // Steady state (same configuration as the state's last session)
@@ -86,7 +115,13 @@ std::shared_ptr<const core::PipelineContext> BatchEngine::context_for(
 }
 
 SessionReport BatchEngine::run_one(const sim::Session& session,
-                                   std::uint64_t session_id) {
+                                   std::uint64_t session_id,
+                                   std::size_t chunk_samples) {
+  // Streaming push requires equal-length slices; a session whose channels
+  // disagree is corrupt data the batch path classifies inside ASP, so
+  // route it there and keep the error taxonomy identical across classes.
+  const bool streamed = chunk_samples != 0 &&
+                        session.audio.mic1.size() == session.audio.mic2.size();
   SessionReport report;
   const Clock::time_point t0 = Clock::now();
   try {
@@ -97,14 +132,21 @@ SessionReport BatchEngine::run_one(const sim::Session& session,
     std::shared_ptr<const core::PipelineContext> context =
         context_for(*lease, session);
     const obs::ObsContext obs{registry_.get(), tracer_.get(), session_id};
-    // Pathological sessions (plans cannot be built) take the context-free
-    // spelling, which rebuilds and fails INSIDE the ASP stage so the error
-    // is classified against the stage that owns it.
-    Expected<core::LocalizationResult, core::PipelineError> outcome =
-        context != nullptr
-            ? core::try_localize(session, config_, *context, lease->workspace,
-                                 &report.metrics, &obs)
-            : core::try_localize(session, config_, &report.metrics, &obs);
+    const auto ingest = [&]() -> Expected<core::LocalizationResult, core::PipelineError> {
+      if (streamed) {
+        return localize_streamed(session, config_, chunk_samples, std::move(context),
+                                 lease->workspace, &report.metrics, &obs);
+      }
+      // Pathological sessions (plans cannot be built) take the context-free
+      // spelling, which rebuilds and fails INSIDE the ASP stage so the error
+      // is classified against the stage that owns it.
+      if (context == nullptr) {
+        return core::try_localize(session, config_, &report.metrics, &obs);
+      }
+      return core::try_localize(session, config_, *context, lease->workspace,
+                                &report.metrics, &obs);
+    };
+    Expected<core::LocalizationResult, core::PipelineError> outcome = ingest();
     if (outcome.has_value()) {
       report.result = *std::move(outcome);
       report.status =
@@ -114,63 +156,8 @@ SessionReport BatchEngine::run_one(const sim::Session& session,
       report.error = std::move(outcome).error();
     }
   } catch (const std::exception& e) {
-    // try_localize already maps stage failures; this guards the remaining
+    // The pipeline already maps stage failures; this guards the remaining
     // surface (bad_alloc, metric copies) so no exception reaches the pool.
-    report.status = SessionStatus::error;
-    report.error = core::error_from_exception(e, core::PipelineStage::aggregate);
-  }
-  report.wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  record(report);
-  return report;
-}
-
-SessionReport BatchEngine::run_one_streamed(const sim::Session& session,
-                                            std::size_t chunk_samples,
-                                            std::uint64_t session_id) {
-  // Streaming push requires equal-length slices; a session whose channels
-  // disagree is corrupt data the batch path classifies inside ASP, so
-  // route it there and keep the error taxonomy identical across classes.
-  if (session.audio.mic1.size() != session.audio.mic2.size() ||
-      chunk_samples == 0) {
-    return run_one(session, session_id);
-  }
-  SessionReport report;
-  const Clock::time_point t0 = Clock::now();
-  try {
-    WorkspacePool::Lease lease = workspaces_.checkout();
-    ++lease->sessions_served;
-    std::shared_ptr<const core::PipelineContext> context =
-        context_for(*lease, session);
-    const obs::ObsContext obs{registry_.get(), tracer_.get(), session_id};
-    // The meta copy carries everything except the samples — those arrive
-    // through push() in chunk_samples-sample slices, exactly as a live
-    // phone would deliver them.
-    sim::Session meta;
-    meta.imu = session.imu;
-    meta.truth = session.truth;
-    meta.prior = session.prior;
-    meta.config = session.config;
-    meta.audio.sample_rate = session.audio.sample_rate;
-    core::StreamingSession stream(std::move(meta), config_, std::move(context),
-                                  &lease->workspace);
-    const std::span<const double> mic1(session.audio.mic1);
-    const std::span<const double> mic2(session.audio.mic2);
-    for (std::size_t i = 0; i < mic1.size(); i += chunk_samples) {
-      const std::size_t n = std::min(chunk_samples, mic1.size() - i);
-      stream.push(mic1.subspan(i, n), mic2.subspan(i, n));
-    }
-    Expected<core::LocalizationResult, core::PipelineError> outcome =
-        stream.finalize(&report.metrics, &obs);
-    if (outcome.has_value()) {
-      report.result = *std::move(outcome);
-      report.status =
-          report.result.valid ? SessionStatus::ok : SessionStatus::no_solution;
-    } else {
-      report.status = SessionStatus::error;
-      report.error = std::move(outcome).error();
-    }
-  } catch (const std::exception& e) {
     report.status = SessionStatus::error;
     report.error = core::error_from_exception(e, core::PipelineStage::aggregate);
   }
@@ -211,8 +198,7 @@ std::future<SessionReport> BatchEngine::enqueue(
   // lock and throws PreconditionError without a counter drift (the
   // rollback in the catch block).
   HE_EXPECTS(!pool_.stopped());
-  const std::uint64_t session_id =
-      next_session_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t session_id = allocate_session_id();
   auto task = std::make_shared<std::packaged_task<SessionReport()>>(
       [this, session = std::move(session), session_id] {
         return run_one(*session, session_id);
@@ -232,13 +218,19 @@ std::future<SessionReport> BatchEngine::enqueue(
   return future;
 }
 
-bool BatchEngine::post_refusable(std::function<void()> task) {
+bool BatchEngine::post_refusable(std::shared_ptr<const sim::Session> session,
+                                 std::size_t chunk_samples,
+                                 std::function<void(SessionReport&&)> done,
+                                 std::uint64_t session_id) {
+  HE_EXPECTS(session != nullptr && done != nullptr);
+  const std::uint64_t id = session_id != 0 ? session_id : allocate_session_id();
   // Same submitted-then-rejected discipline as enqueue (see there), but a
   // refused post is an answer, not an exception: the serving layer shares
   // fate with its shards and must observe a dying one as a value.
   counters_.submitted.inc();
   try {
-    pool_.post(std::move(task));
+    pool_.post([this, session = std::move(session), done = std::move(done),
+                chunk_samples, id] { done(run_one(*session, id, chunk_samples)); });
   } catch (const PreconditionError&) {
     counters_.rejected.inc();
     return false;
@@ -252,30 +244,15 @@ bool BatchEngine::post_refusable(std::function<void()> task) {
 bool BatchEngine::try_submit(std::shared_ptr<const sim::Session> session,
                              std::function<void(SessionReport&&)> done,
                              std::uint64_t session_id) {
-  HE_EXPECTS(session != nullptr && done != nullptr);
-  const std::uint64_t id =
-      session_id != 0
-          ? session_id
-          : next_session_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return post_refusable(
-      [this, session = std::move(session), done = std::move(done), id] {
-        done(run_one(*session, id));
-      });
+  return post_refusable(std::move(session), 0, std::move(done), session_id);
 }
 
 bool BatchEngine::try_submit_streamed(std::shared_ptr<const sim::Session> session,
                                       std::size_t chunk_samples,
                                       std::function<void(SessionReport&&)> done,
                                       std::uint64_t session_id) {
-  HE_EXPECTS(session != nullptr && done != nullptr);
-  const std::uint64_t id =
-      session_id != 0
-          ? session_id
-          : next_session_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return post_refusable([this, session = std::move(session),
-                         done = std::move(done), chunk_samples, id] {
-    done(run_one_streamed(*session, chunk_samples, id));
-  });
+  return post_refusable(std::move(session), chunk_samples, std::move(done),
+                        session_id);
 }
 
 std::future<SessionReport> BatchEngine::submit(const sim::Session& session) {
@@ -312,8 +289,7 @@ std::vector<SessionReport> BatchEngine::localize_all(
   };
   try {
     for (std::size_t i = 0; i < sessions.size(); ++i) {
-      const std::uint64_t session_id =
-          next_session_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+      const std::uint64_t session_id = allocate_session_id();
       // Same submitted-then-rejected discipline as enqueue (see there).
       counters_.submitted.inc();
       try {

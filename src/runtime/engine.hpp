@@ -186,11 +186,14 @@ class BatchEngine {
     obs::Counter chirps;           ///< engine.chirps_detected_total
   };
 
+  /// Run one session on the calling worker. `chunk_samples` 0 ingests the
+  /// whole recording through core::try_localize; otherwise the audio is
+  /// pushed through core::StreamingSession in slices of that size (a
+  /// session with unequal channel lengths takes the whole-recording path).
   [[nodiscard]] SessionReport run_one(const sim::Session& session,
-                                      std::uint64_t session_id);
-  [[nodiscard]] SessionReport run_one_streamed(const sim::Session& session,
-                                               std::size_t chunk_samples,
-                                               std::uint64_t session_id);
+                                      std::uint64_t session_id,
+                                      std::size_t chunk_samples = 0);
+  [[nodiscard]] std::uint64_t allocate_session_id();
   /// Memoized-or-cached plan lookup for one session (may return null for
   /// pathological sessions; callers fall back to the context-free path).
   [[nodiscard]] std::shared_ptr<const core::PipelineContext> context_for(
@@ -198,7 +201,12 @@ class BatchEngine {
   void record(const SessionReport& report);
   [[nodiscard]] std::future<SessionReport> enqueue(
       std::shared_ptr<const sim::Session> session);
-  [[nodiscard]] bool post_refusable(std::function<void()> task);
+  /// The try_submit/try_submit_streamed intake (`chunk_samples` as in
+  /// run_one).
+  [[nodiscard]] bool post_refusable(std::shared_ptr<const sim::Session> session,
+                                    std::size_t chunk_samples,
+                                    std::function<void(SessionReport&&)> done,
+                                    std::uint64_t session_id);
 
   const core::PipelineConfig config_;
   /// Declared before pool_: queued tasks and the pool's own metric handles

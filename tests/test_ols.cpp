@@ -191,16 +191,25 @@ TEST(OlsWorkspace, ReuseAcrossMixedSizesDoesNotPerturbResults) {
   std::vector<double> k = rng.gaussian_vector(127);
   const OlsConvolver ols(k);
   Workspace shared;
-  // Interleave sizes so every call inherits a dirty, possibly larger
-  // buffer from the previous one.
-  for (std::size_t n : {3000u, 130u, 4096u, 127u, 2500u}) {
-    std::vector<double> x = rng.gaussian_vector(n);
-    const std::vector<double> reused = ols.convolve_full(x, &shared);
-    const std::vector<double> fresh = ols.convolve_full(x);
+  // Interleave sizes and spellings so every `_into` call inherits a dirty,
+  // possibly larger workspace and output buffer from the previous one; the
+  // owning spellings each build a call-local workspace.
+  const auto expect_same = [](const std::vector<double>& reused,
+                              const std::vector<double>& fresh, std::size_t n) {
     ASSERT_EQ(reused.size(), fresh.size());
     for (std::size_t i = 0; i < reused.size(); ++i) {
       EXPECT_EQ(reused[i], fresh[i]) << "n=" << n << " i=" << i;
     }
+  };
+  for (std::size_t n : {3000u, 130u, 4096u, 127u, 2500u}) {
+    std::vector<double> x = rng.gaussian_vector(n);
+    std::vector<double> reused(n + k.size() - 1);
+    ols.convolve_into(x, 0, reused.size(), reused.data(), shared);
+    expect_same(reused, ols.convolve_full(x), n);
+    ols.filter_same_into(x, reused, shared);
+    expect_same(reused, ols.filter_same(x), n);
+    ols.correlate_valid_into(x, reused, shared);
+    expect_same(reused, ols.correlate_valid(x), n);
   }
 }
 

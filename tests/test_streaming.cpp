@@ -2,22 +2,23 @@
 /// run them): a StreamingSession fed ANY chunking of a recording must
 /// produce the batch pipeline's fix BIT FOR BIT plus a chunking-invariant
 /// incremental event stream, with peak retained memory bounded well below
-/// the recording length; the StreamingEngine must multiplex many such
-/// sessions over its pool without changing a bit of any of them.
+/// the recording length; several such sessions interleaved over one shared
+/// plan set must not change a bit of any of them.
 
-#include "runtime/streaming_engine.hpp"
+#include "core/streaming_session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <future>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/streaming_session.hpp"
+#include "core/pipeline_context.hpp"
+#include "core/session_workspace.hpp"
 #include "dsp/matched_filter.hpp"
 #include "runtime/engine.hpp"
 #include "sim/scenario.hpp"
@@ -267,155 +268,53 @@ TEST(StreamingSession, LifecyclePreconditions) {
   EXPECT_THROW(core::StreamingSession{make_session(851)}, PreconditionError);
 }
 
-TEST(StreamingEngine, MultiplexedSessionsMatchBatchBitExactly) {
-  // Four live sessions interleaved chunk by chunk over four workers: every
-  // report must equal the batch engine's for the same recordings.
+TEST(StreamingSession, InterleavedSessionsSharingOneContextMatchBatch) {
+  // Four live sessions on one thread, one shared plan set, one workspace
+  // each, pushes interleaved round-robin: no session may leak state into
+  // another through the shared context, and every fix must equal the batch
+  // engine's for the same recording.
   std::vector<sim::Session> sessions;
   for (std::uint64_t i = 0; i < 4; ++i) sessions.push_back(make_session(860 + i));
   BatchEngine batch({}, 2);
   const std::vector<SessionReport> expect = batch.localize_all(sessions);
 
+  const core::PipelineConfig config;
+  const auto context = std::make_shared<const core::PipelineContext>(
+      config, sessions[0].prior.chirp, sessions[0].audio.sample_rate);
   std::vector<SplitSession> splits;
-  for (sim::Session& s : sessions) splits.push_back(split(std::move(s)));
-
-  StreamingEngineOptions opt;
-  opt.threads = 4;
-  StreamingEngine engine({}, opt);
-  std::vector<std::uint64_t> ids;
-  for (SplitSession& s : splits) {
-    const std::uint64_t id = engine.open(s.meta);
-    ASSERT_NE(id, 0u);
-    ids.push_back(id);
+  for (sim::Session& s : sessions) {
+    ASSERT_TRUE(context->matches(config.asp, s.prior.chirp, s.audio.sample_rate));
+    splits.push_back(split(std::move(s)));
   }
-  EXPECT_EQ(engine.open_sessions(), splits.size());
+  std::vector<core::SessionWorkspace> workspaces(splits.size());
+  std::vector<std::unique_ptr<core::StreamingSession>> live;
+  for (std::size_t i = 0; i < splits.size(); ++i) {
+    live.push_back(std::make_unique<core::StreamingSession>(
+        splits[i].meta, config, context, &workspaces[i]));
+  }
 
   const std::size_t slice = 22050;
-  for (std::size_t pos = 0; true;) {
+  for (std::size_t pos = 0; true; pos += slice) {
     bool any = false;
     for (std::size_t i = 0; i < splits.size(); ++i) {
       const SplitSession& s = splits[i];
       if (pos >= s.mic1.size()) continue;
       any = true;
       const std::size_t len = std::min(slice, s.mic1.size() - pos);
-      PushStatus status =
-          engine.push(ids[i], std::span<const double>(s.mic1).subspan(pos, len),
-                      std::span<const double>(s.mic2).subspan(pos, len));
-      while (status == PushStatus::overflow) {  // backpressure: retry
-        status = engine.push(ids[i],
-                             std::span<const double>(s.mic1).subspan(pos, len),
-                             std::span<const double>(s.mic2).subspan(pos, len));
-      }
-      ASSERT_EQ(status, PushStatus::accepted);
+      live[i]->push(std::span<const double>(s.mic1).subspan(pos, len),
+                    std::span<const double>(s.mic2).subspan(pos, len));
     }
     if (!any) break;
-    pos += slice;
   }
-  std::vector<std::future<SessionReport>> futures;
-  for (const std::uint64_t id : ids) futures.push_back(engine.finalize(id));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const SessionReport got = futures[i].get();
-    EXPECT_EQ(got.status, expect[i].status) << "session " << i;
-    expect_identical(got.result, expect[i].result);
-    EXPECT_EQ(got.metrics.chirps_mic1, expect[i].metrics.chirps_mic1);
-    EXPECT_EQ(got.metrics.chirps_mic2, expect[i].metrics.chirps_mic2);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    core::StageMetrics metrics;
+    const auto got = live[i]->finalize(&metrics);
+    ASSERT_TRUE(got.has_value()) << "session " << i;
+    ASSERT_EQ(expect[i].status, SessionStatus::ok) << "session " << i;
+    expect_identical(*got, expect[i].result);
+    EXPECT_EQ(metrics.chirps_mic1, expect[i].metrics.chirps_mic1);
+    EXPECT_EQ(metrics.chirps_mic2, expect[i].metrics.chirps_mic2);
   }
-  EXPECT_EQ(engine.open_sessions(), 0u);
-}
-
-TEST(StreamingEngine, BackpressureSessionLimitsAndLifecycle) {
-  StreamingEngineOptions opt;
-  opt.threads = 1;
-  opt.max_sessions = 1;
-  opt.max_buffered_samples = 64;
-  StreamingEngine engine({}, opt);
-  SplitSession s = split(make_session(870));
-
-  const std::uint64_t id = engine.open(s.meta);
-  ASSERT_NE(id, 0u);
-  // Session limit: the second open is refused by value, not by throw.
-  EXPECT_EQ(engine.open(s.meta), 0u);
-
-  // A slice larger than the buffer cap can never be accepted.
-  EXPECT_EQ(engine.push(id, std::span<const double>(s.mic1).subspan(0, 64),
-                        std::span<const double>(s.mic2).subspan(0, 64)),
-            PushStatus::overflow);
-  // Unknown ids are a value too.
-  EXPECT_EQ(engine.push(9999, std::span<const double>(s.mic1).subspan(0, 8),
-                        std::span<const double>(s.mic2).subspan(0, 8)),
-            PushStatus::unknown_session);
-  EXPECT_THROW((void)engine.finalize(9999), PreconditionError);
-
-  std::future<SessionReport> report = engine.finalize(id);
-  // After finalize the session no longer accepts audio.
-  PushStatus late = engine.push(id, std::span<const double>(s.mic1).subspan(0, 8),
-                                std::span<const double>(s.mic2).subspan(0, 8));
-  EXPECT_TRUE(late == PushStatus::closed || late == PushStatus::unknown_session);
-  EXPECT_THROW((void)engine.finalize(id), PreconditionError);
-  // Nothing was pushed: the report is the empty-recording error, exactly
-  // the batch taxonomy.
-  const SessionReport r = report.get();
-  EXPECT_EQ(r.status, SessionStatus::error);
-  EXPECT_EQ(r.error.category, core::ErrorCategory::precondition);
-  EXPECT_EQ(r.error.stage, core::PipelineStage::asp);
-}
-
-TEST(StreamingEngine, LogicalClockEviction) {
-  StreamingEngineOptions opt;
-  opt.threads = 1;
-  StreamingEngine engine({}, opt);
-  SplitSession s = split(make_session(880));
-  const std::uint64_t kept = engine.open(s.meta);
-  const std::uint64_t idle = engine.open(s.meta);
-  ASSERT_NE(kept, 0u);
-  ASSERT_NE(idle, 0u);
-
-  engine.tick();
-  engine.tick();
-  // Activity stamps the clock: `kept` is touched after the ticks, `idle`
-  // is not.
-  ASSERT_EQ(engine.push(kept, std::span<const double>(s.mic1).subspan(0, 256),
-                        std::span<const double>(s.mic2).subspan(0, 256)),
-            PushStatus::accepted);
-  EXPECT_EQ(engine.evict_idle(1), 1u);
-  EXPECT_EQ(engine.open_sessions(), 1u);
-  // The evicted id is gone for good.
-  EXPECT_EQ(engine.push(idle, std::span<const double>(s.mic1).subspan(0, 8),
-                        std::span<const double>(s.mic2).subspan(0, 8)),
-            PushStatus::unknown_session);
-  EXPECT_THROW((void)engine.finalize(idle), PreconditionError);
-  // The survivor still finalizes, and its report matches what the batch
-  // pipeline says about the identical 256-sample recording (the renderer
-  // is seed-deterministic, so re-rendering and truncating reproduces
-  // exactly the samples pushed above).
-  sim::Session ref = make_session(880);
-  ref.audio.mic1.resize(256);
-  ref.audio.mic2.resize(256);
-  const auto expect = core::try_localize(ref, {});
-  const SessionReport r = engine.finalize(kept).get();
-  if (expect.has_value()) {
-    EXPECT_EQ(r.status, expect->valid ? SessionStatus::ok
-                                      : SessionStatus::no_solution);
-  } else {
-    EXPECT_EQ(r.status, SessionStatus::error);
-    EXPECT_EQ(r.error.stage, expect.error().stage);
-    EXPECT_EQ(r.error.message, expect.error().message);
-  }
-  EXPECT_EQ(engine.open_sessions(), 0u);
-}
-
-TEST(StreamingEngine, ShutdownStopsIntake) {
-  StreamingEngineOptions opt;
-  opt.threads = 1;
-  StreamingEngine engine({}, opt);
-  SplitSession s = split(make_session(890));
-  const std::uint64_t id = engine.open(s.meta);
-  ASSERT_NE(id, 0u);
-  engine.shutdown();
-  engine.shutdown();  // idempotent
-  EXPECT_THROW((void)engine.open(s.meta), PreconditionError);
-  EXPECT_EQ(engine.push(id, std::span<const double>(s.mic1).subspan(0, 8),
-                        std::span<const double>(s.mic2).subspan(0, 8)),
-            PushStatus::closed);
 }
 
 }  // namespace
